@@ -21,13 +21,8 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.configurations import BackupConfiguration
-from repro.core.performability import (
-    DEFAULT_NUM_SERVERS,
-    make_datacenter,
-    plan_power_budget_watts,
-)
+from repro.core.performability import DEFAULT_NUM_SERVERS, plant
 from repro.core.tco import TCOModel
-from repro.errors import TechniqueError
 from repro.faults import FaultInjector, FaultPlan
 from repro.outages.generator import OutageGenerator
 from repro.power.ups import DEFAULT_RECHARGE_SECONDS
@@ -37,7 +32,7 @@ from repro.runner.jobs import Job, make_jobs
 from repro.runner.progress import ProgressListener, RunStats
 from repro.servers.server import PAPER_SERVER, ServerSpec
 from repro.sim.yearly import YearlyRunner
-from repro.techniques.base import OutageTechnique, TechniqueContext
+from repro.techniques.base import OutageTechnique
 from repro.units import SECONDS_PER_YEAR, to_minutes
 from repro.workloads.base import WorkloadSpec
 
@@ -105,20 +100,7 @@ def _simulate_year(
         rng=np.random.default_rng(dg_seed),
         injector=injector,
     )
-    result = runner.run_schedule(generator.sample_year())
-    perf_sum = 0.0
-    perf_weight = 0.0
-    for event, outcome in zip(result.events, result.outcomes):
-        perf_sum += outcome.mean_performance * event.duration_seconds
-        perf_weight += event.duration_seconds
-    return {
-        "downtime_seconds": result.total_downtime_seconds,
-        "crashes": float(result.crashes),
-        "outages": float(len(result.outcomes)),
-        "perf_sum": perf_sum,
-        "perf_weight": perf_weight,
-        "dg_start_failures": float(result.dg_start_failures),
-    }
+    return runner.run_schedule(generator.sample_year()).aggregates()
 
 
 class AvailabilityAnalyzer:
@@ -181,24 +163,9 @@ class AvailabilityAnalyzer:
             raise ValueError("years must be positive")
         if engine not in ("scalar", "batch"):
             raise ValueError(f"unknown engine {engine!r}; use scalar or batch")
-        datacenter = make_datacenter(
-            self.workload, configuration, self.num_servers, self.server
+        datacenter, plan = plant(
+            self.workload, configuration, technique, self.num_servers, self.server
         )
-        context = TechniqueContext(
-            cluster=datacenter.cluster,
-            workload=self.workload,
-            power_budget_watts=plan_power_budget_watts(datacenter),
-        )
-        try:
-            plan = technique.compile_plan(context)
-        except TechniqueError:
-            # An uncompilable technique means every outage is a crash-through.
-            from repro.techniques.nop import FullService
-
-            plan = FullService().compile_plan(
-                TechniqueContext(cluster=datacenter.cluster, workload=self.workload)
-            )
-
         year_spec = {
             "datacenter": datacenter,
             "plan": plan,

@@ -26,11 +26,12 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.performability import make_datacenter, plan_power_budget_watts
-from repro.errors import RunnerError, TechniqueError
+from repro.core.configurations import get_configuration
+from repro.core.performability import plant
+from repro.errors import RunnerError
 from repro.fleet.correlation import RegionalShockSampler, merge_outage_events
 from repro.fleet.routing import OutageWindow, SiteTimeline, route_fleet_year
-from repro.fleet.spec import FleetSpec, SiteSpec
+from repro.fleet.spec import FleetSpec
 from repro.obs import current_metrics, current_tracer
 from repro.outages.generator import OutageGenerator
 from repro.power.ups import DEFAULT_RECHARGE_SECONDS
@@ -39,40 +40,9 @@ from repro.runner.executor import BaseExecutor, make_executor
 from repro.runner.jobs import Job, make_jobs
 from repro.runner.progress import ProgressListener
 from repro.sim.yearly import YearlyRunner
-from repro.techniques.base import TechniqueContext
+from repro.techniques.registry import get_technique
 from repro.units import SECONDS_PER_YEAR, to_minutes
-
-
-def _site_plant(site: SiteSpec):
-    """Materialise a site's (datacenter, plan), availability-style.
-
-    Mirrors :meth:`repro.analysis.availability.AvailabilityAnalyzer.prepare`:
-    an uncompilable technique degrades to the full-service crash-through
-    rather than failing the year.
-    """
-    from repro.techniques.registry import get_technique
-    from repro.workloads.registry import get_workload
-
-    workload = get_workload(site.workload)
-    from repro.core.configurations import get_configuration
-
-    datacenter = make_datacenter(
-        workload, get_configuration(site.configuration), site.servers
-    )
-    context = TechniqueContext(
-        cluster=datacenter.cluster,
-        workload=workload,
-        power_budget_watts=plan_power_budget_watts(datacenter),
-    )
-    try:
-        plan = get_technique(site.technique).compile_plan(context)
-    except TechniqueError:
-        from repro.techniques.nop import FullService
-
-        plan = FullService().compile_plan(
-            TechniqueContext(cluster=datacenter.cluster, workload=workload)
-        )
-    return datacenter, plan
+from repro.workloads.registry import get_workload
 
 
 def simulate_fleet_year(
@@ -108,7 +78,12 @@ def simulate_fleet_year(
         schedule = merge_outage_events(
             generator.sample_year(), shocks[site.name]
         )
-        datacenter, plan = _site_plant(site)
+        datacenter, plan = plant(
+            get_workload(site.workload),
+            get_configuration(site.configuration),
+            get_technique(site.technique),
+            site.servers,
+        )
         runner = YearlyRunner(
             datacenter,
             plan,
@@ -116,27 +91,15 @@ def simulate_fleet_year(
             rng=np.random.default_rng(dg_seed),
         )
         result = runner.run_schedule(schedule)
-        perf_sum = 0.0
-        perf_weight = 0.0
-        windows = []
-        for event, outcome in zip(result.events, result.outcomes):
-            perf_sum += outcome.mean_performance * event.duration_seconds
-            perf_weight += event.duration_seconds
-            windows.append(
-                OutageWindow(
-                    start_seconds=event.start_seconds,
-                    end_seconds=event.end_seconds,
-                    performance=min(1.0, max(0.0, outcome.mean_performance)),
-                )
+        sites[site.name] = result.aggregates()
+        windows = tuple(
+            OutageWindow(
+                start_seconds=event.start_seconds,
+                end_seconds=event.end_seconds,
+                performance=min(1.0, max(0.0, outcome.mean_performance)),
             )
-        sites[site.name] = {
-            "downtime_seconds": result.total_downtime_seconds,
-            "crashes": float(result.crashes),
-            "outages": float(len(result.outcomes)),
-            "perf_sum": perf_sum,
-            "perf_weight": perf_weight,
-            "dg_start_failures": float(result.dg_start_failures),
-        }
+            for event, outcome in zip(result.events, result.outcomes)
+        )
         timelines.append(
             SiteTimeline(
                 name=site.name,
@@ -144,7 +107,7 @@ def simulate_fleet_year(
                 load=site.load,
                 power_region=site.power_region,
                 rtt_seconds=site.rtt_seconds,
-                windows=tuple(windows),
+                windows=windows,
             )
         )
 

@@ -147,7 +147,8 @@ class PowerTrace:
 
     def zero_performance_seconds(self, start_seconds: float, end_seconds: float) -> float:
         """Time within a window with zero delivered performance (down time);
-        uncovered time counts as down."""
+        uncovered time counts as down.  Clamped at zero: when every
+        segment is up, float cancellation can leave a sub-ulp negative."""
         if end_seconds <= start_seconds:
             return 0.0
         covered_up = 0.0
@@ -160,7 +161,7 @@ class PowerTrace:
                 if seg.performance > 0:
                     covered_up += hi - lo
         window = end_seconds - start_seconds
-        return (window - covered_total) + (covered_total - covered_up)
+        return max(0.0, (window - covered_total) + (covered_total - covered_up))
 
     def power_at(self, time_seconds: float) -> float:
         """Draw at an instant (0 outside any segment)."""

@@ -16,7 +16,7 @@ statistics on top of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -59,6 +59,28 @@ class YearlyResult:
         return max(
             (outcome.downtime_seconds for outcome in self.outcomes), default=0.0
         )
+
+    def aggregates(self) -> Dict[str, float]:
+        """The year reduced to the six-field dict every yearly study folds.
+
+        Performance is weighted by outage duration and summed in event
+        order with plain float adds, the order
+        :func:`repro.vsim.yearly.simulate_year_block` also uses, so the
+        batch years equal these dicts bit-for-bit.
+        """
+        perf_sum = 0.0
+        perf_weight = 0.0
+        for event, outcome in zip(self.events, self.outcomes):
+            perf_sum += outcome.mean_performance * event.duration_seconds
+            perf_weight += event.duration_seconds
+        return {
+            "downtime_seconds": self.total_downtime_seconds,
+            "crashes": float(self.crashes),
+            "outages": float(len(self.outcomes)),
+            "perf_sum": perf_sum,
+            "perf_weight": perf_weight,
+            "dg_start_failures": float(self.dg_start_failures),
+        }
 
 
 class YearlyRunner:

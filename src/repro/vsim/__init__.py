@@ -13,8 +13,6 @@ The scalar simulator (:mod:`repro.sim.outage_sim`) plays one
   cross-outage SoC and DG-start state exactly as
   :class:`~repro.sim.yearly.YearlyRunner` does, with the same
   SeedSequence spawn discipline as the runner's per-year jobs.
-* :mod:`~repro.vsim.select` — kernel-backed ``evaluate_point`` used to
-  accelerate the sweep/rank searches behind an ``engine="batch"`` flag.
 * :mod:`~repro.vsim.equivalence` / :mod:`~repro.vsim.fuzz` — the
   certification harness: grid equivalence over every registered
   technique and the Table-3 configurations, plus a differential

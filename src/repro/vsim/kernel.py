@@ -949,8 +949,10 @@ class _BatchRun:
     def _outcomes(self) -> BatchOutcomes:
         k = self.k
         window = self.T
-        downtime_during = (window - self.covered_total) + (
-            self.covered_total - self.covered_up
+        # Clamped at zero exactly as PowerTrace.zero_performance_seconds.
+        downtime_during = np.maximum(
+            (window - self.covered_total) + (self.covered_total - self.covered_up),
+            0.0,
         )
         mean_perf = self.perf_integral / window
         if k.has_ups:

@@ -10,12 +10,14 @@ compiled plan).
 :func:`repro.analysis.availability._simulate_year`, evaluating a
 contiguous block of years per job:
 
-* **Same RNG discipline.**  Per-year seeds are re-derived as
-  ``SeedSequence(base_seed).spawn(total_years)[start:start+count]`` —
-  the exact children :func:`repro.runner.jobs.make_jobs` hands the
-  scalar per-year jobs — and each year spawns ``(schedule, dg)`` streams
-  positionally, so the sampled schedules and DG start rolls are
-  bit-identical to the scalar path at any block size.
+* **Same RNG discipline.**  Year ``i``'s seed is re-derived as
+  ``SeedSequence(base_seed, spawn_key=(i,))`` — equal to
+  ``SeedSequence(base_seed).spawn(total_years)[i]``, the exact child
+  :func:`repro.runner.jobs.make_jobs` hands the scalar per-year job, but
+  built in O(1) instead of spawning every year's seed for every block —
+  and each year spawns ``(schedule, dg)`` streams positionally, so the
+  sampled schedules and DG start rolls are bit-identical to the scalar
+  path at any block size.
 * **Same state threading.**  Cross-outage state of charge and recharge
   clamping follow :meth:`repro.sim.yearly.YearlyRunner._run_schedule`
   verbatim; only the outage simulations themselves are vectorized, in
@@ -24,8 +26,9 @@ contiguous block of years per job:
   threading while batching across years.
 * **Same aggregates.**  The returned per-year dicts accumulate
   downtime/performance in event order with plain Python float adds, so
-  each dict equals the scalar job's bit-for-bit — certified by
-  ``make batch-smoke`` and ``tests/sim/test_vsim_yearly.py``.
+  each dict equals the scalar year's
+  :meth:`~repro.sim.yearly.YearlyResult.aggregates` bit-for-bit —
+  certified by ``make batch-smoke`` and ``tests/sim/test_vsim_yearly.py``.
 
 Fault injection is out of kernel scope; the availability analyzer keeps
 fault studies on the scalar path.
@@ -71,8 +74,9 @@ def simulate_year_block(
     total_years = int(spec["total_years"])
     if not (0 <= start and count > 0 and start + count <= total_years):
         raise SimulationError("year block out of range")
-    seeds = np.random.SeedSequence(spec["base_seed"]).spawn(total_years)[
-        start : start + count
+    seeds = [
+        np.random.SeedSequence(spec["base_seed"], spawn_key=(i,))
+        for i in range(start, start + count)
     ]
 
     generator_spec = datacenter.generator

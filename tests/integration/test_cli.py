@@ -88,6 +88,16 @@ class TestRankAvailabilityTCO:
         assert code == 0
         assert "availability" in out
 
+    def test_engine_flag_only_on_availability(self, capsys):
+        argv = ["-w", "specjbb", "-c", "MaxPerf", "-t", "full-service",
+                "--years", "5", "--servers", "4"]
+        _, scalar, _ = run(capsys, "availability", *argv)
+        code, batch, _ = run(capsys, "availability", *argv, "--engine", "batch")
+        assert code == 0
+        assert batch.splitlines()[:-1] == scalar.splitlines()[:-1]
+        with pytest.raises(SystemExit):
+            main(["rank", "-w", "memcached", "-m", "5", "--engine", "batch"])
+
     def test_tco(self, capsys):
         code, out, _ = run(capsys, "tco")
         assert code == 0

@@ -10,7 +10,8 @@ import signal
 
 import pytest
 
-from repro.core.configurations import BackupConfiguration
+from repro.analysis.availability import AvailabilityAnalyzer
+from repro.core.configurations import BackupConfiguration, get_configuration
 from repro.core.performability import make_datacenter
 from repro.power.generator import DieselGeneratorSpec
 from repro.power.placement import UPSPlacement
@@ -20,6 +21,7 @@ from repro.servers.server import PAPER_SERVER
 from repro.sim.datacenter import Datacenter
 from repro.sim.outage_sim import simulate_outage, solve_hold_time
 from repro.techniques.base import OutagePlan, PlanPhase
+from repro.techniques.registry import get_technique
 from repro.units import minutes
 from repro.vsim.equivalence import _field_diffs
 from repro.vsim.kernel import PlanKernel
@@ -244,3 +246,24 @@ class TestNaNBudgetAdaptiveHold:
             scalar, batch = both_engines(datacenter, plan, 3600.0)
         diffs = _field_diffs(scalar, batch)
         assert not diffs, diffs
+
+
+class TestNegativeDowntime:
+    """Proactive migration under MaxPerf is never down, but the down-time
+    sum ``(window - covered) + (covered - up)`` could cancel to about
+    -4e-15 s; a year of such outages then had negative mean down time and
+    the TCO loss model rejected the study.  Both engines clamp at zero."""
+
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    @pytest.mark.parametrize("workload", ["memcached", "websearch"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fully_up_study_has_zero_downtime(self, engine, workload, seed):
+        report = AvailabilityAnalyzer(get_workload(workload), seed=seed).analyze(
+            get_configuration("MaxPerf"),
+            get_technique("proactive-migration"),
+            years=100,
+            engine=engine,
+        )
+        assert report.outages_simulated > 0
+        assert report.mean_downtime_minutes_per_year == 0.0
+        assert report.expected_loss_dollars_per_kw_year == 0.0

@@ -57,6 +57,29 @@ class TestYearBlock:
         )
         assert scalar == batch  # dict equality is exact float equality
 
+    def test_late_block_of_a_long_study_matches_scalar_years(self):
+        """A block deep into a long study derives its seeds by position
+        alone; they must be the runner's ``spawn(total)`` children."""
+        datacenter, plan = study()
+        total, start, base_seed = 5000, 4990, 13
+        spec = {
+            "datacenter": datacenter,
+            "plan": plan,
+            "recharge_seconds": hours(8),
+        }
+        seeds = np.random.SeedSequence(base_seed).spawn(total)[start:]
+        scalar = [_simulate_year(spec, s) for s in seeds]
+        batch = simulate_year_block(
+            {
+                **spec,
+                "base_seed": base_seed,
+                "start": start,
+                "count": total - start,
+                "total_years": total,
+            }
+        )
+        assert scalar == batch
+
     def test_block_size_invariance(self):
         datacenter, plan = study()
         years, base_seed = 10, 3
