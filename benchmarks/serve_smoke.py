@@ -6,7 +6,9 @@ Three gates, in order:
    the query through the CLI (``--json --cache DIR``) and through a live
    server sharing the same cache directory; the CLI's stdout must equal
    the canonical encoding of the HTTP response's ``result`` field
-   *byte for byte*.
+   *byte for byte*.  The availability bodies cover both served engines:
+   fault-free studies run as vsim year blocks (one of 120 years, split
+   into blocks of 50, 50 and 20), a ``--faults`` study as scalar years.
 2. **Coalescing.**  Concurrent duplicate requests must collapse to one
    evaluation (``serve.coalesced`` > 0, riders reported in meta).
 3. **Loadgen under capacity.**  A short closed-loop mixed workload at
@@ -52,6 +54,25 @@ QUERIES = [
         {"analysis": "availability",
          "params": {"workload": "memcached", "configuration": "NoDG",
                     "technique": "sleep-l", "years": 4}},
+    ),
+    (
+        "availability-120y",
+        ["availability", "-w", "specjbb", "-c", "SmallPUPS", "-t",
+         "throttle+sleep-l", "--years", "120", "--seed", "5", "--json"],
+        {"analysis": "availability",
+         "params": {"workload": "specjbb", "configuration": "SmallPUPS",
+                    "technique": "throttle+sleep-l", "years": 120,
+                    "seed": 5}},
+    ),
+    (
+        "availability-faults",
+        ["availability", "-w", "websearch", "-c", "DG-SmallPUPS", "-t",
+         "sleep-l", "--years", "6", "--faults", "dg_start=0.2,batt_fade=0.1",
+         "--json"],
+        {"analysis": "availability",
+         "params": {"workload": "websearch", "configuration": "DG-SmallPUPS",
+                    "technique": "sleep-l", "years": 6,
+                    "faults": "dg_start=0.2,batt_fade=0.1"}},
     ),
     (
         "rank",

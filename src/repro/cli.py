@@ -1079,9 +1079,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=("scalar", "batch"),
         default="scalar",
-        help="simulation engine: per-outage scalar loop or the "
-        "vectorized repro.vsim kernel in year blocks (bit-identical "
-        "results; see docs/BATCH.md)",
+        help="simulation engine for the table: per-outage scalar loop or "
+        "the vectorized repro.vsim kernel in year blocks (bit-identical "
+        "results; see docs/BATCH.md); --json follows the service, which "
+        "runs fault-free studies on the kernel",
     )
     p_avail.set_defaults(func=_cmd_availability)
 

@@ -167,16 +167,19 @@ def _minimal_runtime(
 
     Feasibility is monotone in runtime (more energy at every load level),
     so a standard bisection applies once any feasible upper bound exists.
+    Whether the plan compiles depends only on the power budget, i.e. on
+    ``power_fraction`` and not on runtime, so a fraction whose first
+    probe cannot compile is given up without probing longer runtimes.
     """
 
-    def survives(runtime_seconds: float) -> bool:
+    def probe(runtime_seconds: float) -> PerformabilityPoint:
         config = BackupConfiguration(
             name="probe",
             dg_power_fraction=0.0,
             ups_power_fraction=power_fraction,
             ups_runtime_seconds=runtime_seconds,
         )
-        point = evaluate_point(
+        return evaluate_point(
             config,
             technique,
             workload,
@@ -184,10 +187,16 @@ def _minimal_runtime(
             num_servers=num_servers,
             server=server,
         )
+
+    def survives(runtime_seconds: float) -> bool:
+        point = probe(runtime_seconds)
         return point.feasible and not point.crashed
 
     low = DEFAULT_FREE_RUNTIME_SECONDS
-    if survives(low):
+    first = probe(low)
+    if not first.feasible:
+        return None
+    if not first.crashed:
         return low
     high = max(low * 2, 600.0)
     while high <= max_runtime_seconds and not survives(high):

@@ -87,11 +87,14 @@ def _build_availability(params: Mapping[str, Any]) -> Tuple[List[Job], FinishFn]
     faults = (
         FaultPlan.parse(params["faults"]) if params["faults"] else None
     )
+    # Fault-free studies run as vsim year blocks (bit-identical reports,
+    # year-block cache keys); ``prepare`` keeps fault studies scalar.
     jobs, reduce = analyzer.prepare(
         get_configuration(params["configuration"]),
         get_technique(params["technique"]),
         years=params["years"],
         faults=faults,
+        engine="batch",
     )
     return jobs, lambda values: availability_record(reduce(values))
 

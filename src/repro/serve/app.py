@@ -3,7 +3,9 @@
 Endpoints:
 
 * ``POST /v1/eval`` — one protocol request; 200 with the response
-  envelope, 400 on protocol errors, 429 + ``Retry-After`` when the
+  envelope, 400 on protocol errors or a non-numeric or negative
+  ``Content-Length``, 411 when it is missing, 413 on a body over
+  :data:`MAX_BODY_BYTES`, 429 + ``Retry-After`` when the
   admission queue sheds (or brownout refuses an expensive analysis),
   503 for quarantined poison requests and full brownout shed, 504 on
   expired deadlines, 500 on evaluation failures.  Every admitted
@@ -124,7 +126,8 @@ class ServeConfig:
             backoff for crashed workers.
         brownout: Run the graded-degradation controller (see
             :mod:`repro.serve.resilience`).  ``False`` never refuses
-            for pressure and always lingers the full batch window.
+            for pressure and never trims the batch window (a lone
+            request still skips it; see :class:`Batcher`).
         brownout_policy: Threshold overrides; ``None`` keeps defaults.
         brownout_interval_s: Controller sampling period (also bounds
             how fast tiers can escalate — one tier per sample).
@@ -238,16 +241,36 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._reply(404, error_envelope("not_found", self.path))
 
+    def _refuse(self, status: int, kind: str, message: str) -> None:
+        """Reply with an error envelope and close the connection: the
+        body is left unread, so it must not be parsed as a request."""
+        self.close_connection = True
+        self._reply(status, error_envelope(kind, message))
+
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         if self.path != "/v1/eval":
             self._reply(404, error_envelope("not_found", self.path))
             return
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length > MAX_BODY_BYTES:
-            self._reply(
-                413, error_envelope("too_large", f"{length} B body")
+        declared = self.headers.get("Content-Length")
+        if declared is None:
+            self._refuse(411, "length_required", "POST needs Content-Length")
+            return
+        declared = declared.strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self._refuse(
+                400, "bad_length", f"invalid Content-Length {declared[:32]!r}"
             )
             return
+        # Compare digit counts first: int() refuses strings of over 4300
+        # digits, and any length with more digits than the cap exceeds it.
+        digits = declared.lstrip("0") or "0"
+        if (
+            len(digits) > len(str(MAX_BODY_BYTES))
+            or int(digits) > MAX_BODY_BYTES
+        ):
+            self._refuse(413, "too_large", f"{digits[:32]} B body")
+            return
+        length = int(digits)
         body = self.rfile.read(length)
         status, envelope, headers = self._server.handle_eval(body)
         self._reply(status, envelope, headers)

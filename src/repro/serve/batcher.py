@@ -14,7 +14,10 @@ with, and the same two amortisations apply:
   executor submission — amortising pool dispatch the way inference
   servers amortise kernel launches.  Each request's jobs keep their own
   seeds and fingerprints, so batched results are bit-identical to
-  dedicated runs (and hit the same cache entries).
+  dedicated runs (and hit the same cache entries).  The window is only
+  held open when there is company to wait for: a request alone in the
+  queue whose previous admission came more than ``max_wait_s`` earlier
+  dispatches at once.
 
 Backpressure is explicit: the queue is bounded, and an arrival that
 finds it full is shed with :class:`~repro.errors.QueueFullError` (the
@@ -60,6 +63,8 @@ class _Entry:
     enqueued_at: float = 0.0
     enqueued_unix: float = 0.0
     deadline_at: Optional[float] = None  # monotonic, None = no deadline
+    #: Seconds since the admission before this one (inf for the first).
+    admitted_after_s: float = float("inf")
     riders: int = 1  # coalesced requests sharing this entry
     request_id: Optional[str] = None
     trace: Optional[RequestTrace] = None
@@ -81,6 +86,9 @@ class Batcher:
         max_batch: Most requests dispatched in one executor submission.
         max_wait_s: How long the dispatcher lingers after the first
             arrival to let a batch accumulate.  Zero dispatches eagerly.
+            A request that is alone in the queue, with no other
+            admission within ``max_wait_s`` before it, has no one to
+            batch with and dispatches without the linger.
         metrics: Optional :class:`~repro.obs.MetricsRegistry` receiving
             the ``serve.*`` queue instrumentation.
         telemetry: Optional :class:`~repro.obs.Telemetry` bundle; when
@@ -98,7 +106,8 @@ class Batcher:
         linger_policy: Optional override for the micro-batch linger
             window, consulted at every collect — the brownout
             controller's hook for shrinking the window under pressure.
-            ``None`` always lingers ``max_wait_s``.
+            ``None`` lingers ``max_wait_s`` (subject to the lone-request
+            rule above).
     """
 
     def __init__(
@@ -134,6 +143,8 @@ class Batcher:
         #: fingerprint -> entry, for everything admitted and not yet
         #: resolved (queued *and* in-flight) — the coalescing map.
         self._pending: Dict[str, _Entry] = {}
+        #: Monotonic time of the latest admission (queued or coalesced).
+        self._last_admitted_at = float("-inf")
         self._closed = False
         self._drain = True
         self._worker: Optional[threading.Thread] = None
@@ -212,6 +223,7 @@ class Batcher:
             self._analysis_stat(request.analysis)["requests"] += 1
             existing = self._pending.get(request.fingerprint)
             if existing is not None:
+                self._last_admitted_at = now
                 existing.riders += 1
                 self.coalesced += 1
                 self._count("serve.coalesced")
@@ -238,8 +250,10 @@ class Batcher:
                 request=request,
                 enqueued_at=now,
                 enqueued_unix=time.time(),
+                admitted_after_s=now - self._last_admitted_at,
                 request_id=request_id,
             )
+            self._last_admitted_at = now
             if self._telemetry is not None and request_id is not None:
                 entry.trace = RequestTrace(
                     request_id,
@@ -267,17 +281,25 @@ class Batcher:
     def _collect(self) -> Optional[List[_Entry]]:
         """Block for work, linger ``max_wait_s`` for riders, cut a batch.
 
+        A head request that is alone in the queue and was admitted more
+        than ``max_wait_s`` after the admission before it skips the
+        linger: nothing suggests company is on its way.
+
         Returns None when closed and fully drained (thread exit)."""
         with self._cond:
             while not self._queue:
                 if self._closed:
                     return None
                 self._cond.wait(timeout=0.1)
-            linger = (
-                self._linger_policy()
-                if self._linger_policy is not None
-                else self.max_wait_s
-            )
+            if (
+                len(self._queue) == 1
+                and self._queue[0].admitted_after_s > self.max_wait_s
+            ):
+                linger = 0.0
+            elif self._linger_policy is not None:
+                linger = self._linger_policy()
+            else:
+                linger = self.max_wait_s
             window_ends = time.monotonic() + max(0.0, linger)
             while (
                 len(self._queue) < self.max_batch

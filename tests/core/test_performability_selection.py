@@ -197,3 +197,89 @@ class TestRankTechniques:
             technique_names=("throttling", "sleep-l"),
         )
         assert ranking[0].point.technique_name == "sleep-l"
+
+
+def _probe_every_runtime(
+    technique, workload, outage_seconds, power_fraction, num_servers, server,
+    max_runtime_seconds,
+):
+    """The runtime search without the compile short cut: it probes the
+    same doubling and bisection runtimes even at fractions whose plan
+    cannot compile — the reference the short cut must reproduce."""
+    from repro.core.configurations import BackupConfiguration
+    from repro.core.selection import _RUNTIME_TOLERANCE
+    from repro.power.ups import DEFAULT_FREE_RUNTIME_SECONDS
+
+    def survives(runtime_seconds):
+        point = evaluate_point(
+            BackupConfiguration("probe", 0.0, power_fraction, runtime_seconds),
+            technique,
+            workload,
+            outage_seconds,
+            num_servers=num_servers,
+            server=server,
+        )
+        return point.feasible and not point.crashed
+
+    low = DEFAULT_FREE_RUNTIME_SECONDS
+    if survives(low):
+        return low
+    high = max(low * 2, 600.0)
+    while high <= max_runtime_seconds and not survives(high):
+        high *= 2.0
+    if high > max_runtime_seconds:
+        if not survives(max_runtime_seconds):
+            return None
+        high = max_runtime_seconds
+    lo, hi = low, high
+    while hi - lo > _RUNTIME_TOLERANCE:
+        mid = (lo + hi) / 2.0
+        if survives(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class TestRuntimeSearchShortCut:
+    """A UPS fraction whose plan cannot compile is dropped after one
+    probe: the power budget, and so compilation, ignores runtime."""
+
+    @staticmethod
+    def _counted_rank(monkeypatch):
+        from repro.techniques.base import OutageTechnique
+
+        calls = []
+        compile_plan = OutageTechnique.compile_plan
+
+        def counting(self, context):
+            calls.append(self.name)
+            return compile_plan(self, context)
+
+        monkeypatch.setattr(OutageTechnique, "compile_plan", counting)
+        ranking = rank_techniques(specjbb(), hours(4))
+        monkeypatch.setattr(OutageTechnique, "compile_plan", compile_plan)
+        records = [
+            (
+                sized.point.technique_name,
+                sized.configuration,
+                sized.normalized_cost,
+                sized.point.performance,
+                sized.point.downtime_seconds,
+                sized.point.crashed,
+            )
+            for sized in ranking
+        ]
+        return records, len(calls)
+
+    def test_four_hour_rank_same_with_fewer_compiles(self, monkeypatch):
+        from repro.core import selection
+
+        records, calls = self._counted_rank(monkeypatch)
+        monkeypatch.setattr(
+            selection, "_minimal_runtime", _probe_every_runtime
+        )
+        reference, reference_calls = self._counted_rank(monkeypatch)
+        assert records == reference
+        assert len(records) >= 5
+        assert calls < reference_calls

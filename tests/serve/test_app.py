@@ -1,7 +1,9 @@
 """HTTP front end: endpoints, status mapping, bit-identical serving."""
 
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -139,6 +141,65 @@ class TestEval:
         fingerprints = {payload["fingerprint"] for _, payload in results}
         assert len(fingerprints) == 1
         assert max(p["meta"]["coalesced_riders"] for _, p in results) >= 1
+
+
+def raw_post(base_url, head_lines, body=b""):
+    """Send a hand-written POST; return (status, envelope, thread count
+    before connecting).  Reads to EOF, so it also proves the server
+    closed the connection."""
+    host, port = base_url.rsplit("//", 1)[1].split(":")
+    before = threading.active_count()
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        request = "\r\n".join(
+            ["POST /v1/eval HTTP/1.1", "Host: test", *head_lines, "", ""]
+        )
+        sock.sendall(request.encode("latin-1") + body)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, payload = b"".join(chunks).partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    return status, json.loads(payload.decode("utf-8")), before
+
+
+class TestContentLength:
+    """A bad or missing length gets a 4xx envelope and frees the thread."""
+
+    @pytest.mark.parametrize(
+        "head_lines,status,kind",
+        [
+            (["Content-Length: abc"], 400, "bad_length"),
+            (["Content-Length: -1"], 400, "bad_length"),
+            (["Content-Length: 1e3"], 400, "bad_length"),
+            ([], 411, "length_required"),
+            ([f"Content-Length: {(1 << 20) + 1}"], 413, "too_large"),
+            (["Content-Length: " + "9" * 5000], 413, "too_large"),
+        ],
+    )
+    def test_refused_with_envelope(self, server, head_lines, status, kind):
+        got, envelope, before = raw_post(
+            server.base_url, head_lines, body=b'{"analysis": "echo"}'
+        )
+        assert got == status
+        assert envelope["ok"] is False
+        assert envelope["error"]["type"] == kind
+        deadline = time.monotonic() + 5
+        while threading.active_count() > before:
+            assert time.monotonic() < deadline, "handler thread still alive"
+            time.sleep(0.01)
+
+    def test_exact_length_still_served(self, server):
+        payload = json.dumps({"analysis": "echo", "params": {}}).encode()
+        status, envelope, _ = raw_post(
+            server.base_url,
+            [f"Content-Length: {len(payload)}"],
+            body=payload,
+        )
+        assert status == 200
+        assert envelope["result"] == {"echo": None}
 
 
 class TestBackpressureHTTP:

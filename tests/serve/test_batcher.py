@@ -207,3 +207,67 @@ class TestConcurrency:
         for thread in threads:
             thread.join()
         assert outcomes == {i: {"echo": i} for i in range(8)}
+
+
+def wait_until(predicate, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+class TestLinger:
+    """The window stays open only when there is company to wait for."""
+
+    WINDOW_S = 0.5
+
+    @pytest.fixture
+    def lingering(self):
+        instance = Batcher(
+            queue_bound=8, max_batch=8, max_wait_s=self.WINDOW_S
+        ).start()
+        yield instance
+        instance.close(drain=False, timeout=5)
+
+    def test_lone_request_after_idle_gap_skips_linger(self, lingering):
+        for payload in ("first", "after an idle gap"):
+            started = time.monotonic()
+            outcome = lingering.submit(echo_request(payload)).result(timeout=10)
+            assert time.monotonic() - started < self.WINDOW_S / 2
+            assert outcome["meta"]["queue_wait_s"] < self.WINDOW_S / 2
+            time.sleep(self.WINDOW_S + 0.1)
+        assert lingering.batches == 2
+
+    def test_requests_queued_together_share_one_batch(self, lingering):
+        busy = lingering.submit(echo_request("busy", sleep_s=0.3))
+        wait_until(lambda: lingering.batches == 1)
+        a = lingering.submit(echo_request("a"))
+        b = lingering.submit(echo_request("b"))
+        assert busy.result(timeout=10)["meta"]["batch_size"] == 1
+        assert a.result(timeout=10)["meta"]["batch_size"] == 2
+        assert b.result(timeout=10)["meta"]["batch_size"] == 2
+        assert lingering.batches == 2
+
+    def test_recent_admission_holds_window_open(self, lingering):
+        # "a" is admitted just after "busy", so when it heads the queue
+        # alone it still lingers, and "b" — sent after "busy" is done —
+        # joins its batch.
+        busy = lingering.submit(echo_request("busy", sleep_s=0.3))
+        wait_until(lambda: lingering.batches == 1)
+        a = lingering.submit(echo_request("a"))
+        busy.result(timeout=10)
+        time.sleep(0.15)
+        b = lingering.submit(echo_request("b"))
+        assert a.result(timeout=10)["meta"]["batch_size"] == 2
+        assert b.result(timeout=10)["meta"]["batch_size"] == 2
+
+    def test_duplicate_of_in_flight_request_coalesces(self, lingering):
+        leader = lingering.submit(echo_request("dup", sleep_s=0.3))
+        wait_until(lambda: lingering.batches == 1)
+        rider = lingering.submit(echo_request("dup", sleep_s=0.3))
+        assert rider is leader
+        outcome = rider.result(timeout=10)
+        assert outcome["result"] == {"echo": "dup"}
+        assert outcome["meta"]["coalesced_riders"] == 1
+        assert lingering.coalesced == 1
+        assert lingering.jobs_run == 1
